@@ -41,7 +41,7 @@ func main() {
 	progress := flag.Duration("progress", 10*time.Second, "progress report interval")
 	failFast := flag.Bool("failfast", false, "stop at the first failure")
 	killRecover := flag.Bool("killrecover", false, "also run the crash-recovery differential per seed (rank kill + resume/rejoin)")
-	elastic := flag.Bool("elastic", false, "also run the elastic-membership differential per seed (2 -> 3 -> 2 ranks mid-run)")
+	elastic := flag.Bool("elastic", false, "also run the elastic-membership differential per seed (one join and one leave mid-run)")
 	className := flag.String("class", "any", "restrict generation to one template class: const, vardist, range (any = natural mix)")
 	flag.Parse()
 

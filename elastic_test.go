@@ -17,9 +17,9 @@ import (
 // TestElasticBitIdentical is the end-to-end elasticity check: a
 // four-process mesh starts with only ranks {0, 1} owning tiles, ranks
 // 2 and 3 announce themselves as joiners and are admitted once rank 0
-// has executed 8 tiles (2 -> 4), and rank 1 requests a voluntary leave
-// after 4 tiles and is stripped of its remaining work once the scale
-// schedule has been honoured (4 -> 3). Every rank of the elastic run
+// has executed 8 tiles, and rank 1 requests a voluntary leave after 4
+// tiles and holds there until the view change that strips its
+// remaining work. Every rank of the elastic run
 // must produce the exact value of the fixed-membership in-memory run
 // and of the serial reference; the per-rank executed-tile counts must
 // sum to the total tile count (no tile re-executed across the view
@@ -52,18 +52,7 @@ func TestElasticBitIdentical(t *testing.T) {
 				totalTiles += st.TilesExecuted
 			}
 
-			lns := make([]net.Listener, world)
-			peers := make([]string, world)
-			for r := range lns {
-				ln, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				lns[r] = ln
-				peers[r] = ln.Addr().String()
-			}
-
-			elastic := func(r int) engine.ElasticConfig {
+			results := runElasticTCP(t, p, world, threads, func(r int) engine.ElasticConfig {
 				ec := engine.ElasticConfig{
 					Enabled: true,
 					Members: []int{0, 1},
@@ -78,50 +67,7 @@ func TestElasticBitIdentical(t *testing.T) {
 					ec.JoinRequest = true
 				}
 				return ec
-			}
-
-			type outcome struct {
-				rank int
-				res  *engine.Result
-				err  error
-			}
-			done := make(chan outcome, world)
-			for r := 0; r < world; r++ {
-				go func(r int) {
-					tl, err := tiling.New(p.Spec)
-					if err != nil {
-						done <- outcome{r, nil, err}
-						return
-					}
-					tr, err := tcp.Dial(r, peers, tcp.Options{
-						DialTimeout: 15 * time.Second,
-						Listener:    lns[r],
-					})
-					if err != nil {
-						done <- outcome{r, nil, err}
-						return
-					}
-					res, err := engine.Run(tl, p.Kernel, params, engine.Config{
-						Transport: tr,
-						Threads:   threads,
-						Elastic:   elastic(r),
-					})
-					done <- outcome{r, res, err}
-				}(r)
-			}
-
-			results := make([]*engine.Result, world)
-			for i := 0; i < world; i++ {
-				select {
-				case oc := <-done:
-					if oc.err != nil {
-						t.Fatalf("rank %d: %v", oc.rank, oc.err)
-					}
-					results[oc.rank] = oc.res
-				case <-time.After(120 * time.Second):
-					t.Fatal("elastic run never finished")
-				}
-			}
+			})
 
 			// Bit-identity: every rank's merged result equals both the
 			// fixed-membership run and the serial reference.
@@ -177,6 +123,127 @@ func TestElasticBitIdentical(t *testing.T) {
 					t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 				}
 				time.Sleep(10 * time.Millisecond)
+			}
+		})
+	}
+}
+
+// runElasticTCP runs problem p as a world-rank loopback TCP mesh, rank
+// r with elastic membership elastic(r), and returns every rank's
+// result. It fails the test on any error or if the run does not end.
+func runElasticTCP(t *testing.T, p *problems.Problem, world, threads int, elastic func(r int) engine.ElasticConfig) []*engine.Result {
+	t.Helper()
+	lns := make([]net.Listener, world)
+	peers := make([]string, world)
+	for r := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[r] = ln
+		peers[r] = ln.Addr().String()
+	}
+
+	type outcome struct {
+		rank int
+		res  *engine.Result
+		err  error
+	}
+	done := make(chan outcome, world)
+	for r := 0; r < world; r++ {
+		go func(r int) {
+			tl, err := tiling.New(p.Spec)
+			if err != nil {
+				done <- outcome{r, nil, err}
+				return
+			}
+			tr, err := tcp.Dial(r, peers, tcp.Options{
+				DialTimeout: 15 * time.Second,
+				Listener:    lns[r],
+			})
+			if err != nil {
+				done <- outcome{r, nil, err}
+				return
+			}
+			res, err := engine.Run(tl, p.Kernel, p.DefaultParams, engine.Config{
+				Transport: tr,
+				Threads:   threads,
+				Elastic:   elastic(r),
+			})
+			done <- outcome{r, res, err}
+		}(r)
+	}
+
+	results := make([]*engine.Result, world)
+	for i := 0; i < world; i++ {
+		select {
+		case oc := <-done:
+			if oc.err != nil {
+				t.Fatalf("rank %d: %v", oc.rank, oc.err)
+			}
+			results[oc.rank] = oc.res
+		case <-time.After(120 * time.Second):
+			t.Fatal("elastic run never finished")
+		}
+	}
+	return results
+}
+
+// TestElasticLeaveWithoutGrant: a leave the coordinator will never
+// grant must not park the leaver. With ExpectLeaves 0 and no scale
+// schedule rank 0 may send FIN before any leave request arrives, and
+// with more leavers than ExpectLeaves FIN can come while a leave is
+// still queued; no view change follows FIN, so each leaver finishes
+// its own tiles and the run ends with the serial value and every tile
+// executed once.
+func TestElasticLeaveWithoutGrant(t *testing.T) {
+	p, err := problems.Get("lcs2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := p.Serial(p.DefaultParams)
+	reftl, err := tiling.New(p.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := engine.Run(reftl, p.Kernel, p.DefaultParams, engine.Config{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	totalTiles := ref.Stats[0].TilesExecuted
+
+	for _, tc := range []struct {
+		name         string
+		world        int
+		expectLeaves int
+	}{
+		{"expect-none", 2, 0},
+		{"more-leavers-than-expected", 3, 1},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			results := runElasticTCP(t, p, tc.world, 1, func(r int) engine.ElasticConfig {
+				ec := engine.ElasticConfig{Enabled: true}
+				if r == 0 {
+					ec.ExpectLeaves = tc.expectLeaves
+				} else {
+					ec.LeaveAfterTiles = 2
+				}
+				return ec
+			})
+			var sumTiles int64
+			for r, res := range results {
+				got := res.Value
+				if p.UseMax {
+					got = res.Max
+				}
+				if got != serial {
+					t.Errorf("rank %d: %.17g != serial reference %.17g", r, got, serial)
+				}
+				sumTiles += res.Stats[r].TilesExecuted
+			}
+			if sumTiles != totalTiles {
+				t.Errorf("ranks executed %d tiles, want exactly %d", sumTiles, totalTiles)
 			}
 		})
 	}

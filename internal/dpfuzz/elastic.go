@@ -12,14 +12,14 @@ import (
 )
 
 // CheckElastic is the elastic-membership leg of the differential
-// oracle: a three-rank TCP mesh that starts with members {0, 1}, grows
-// to {0, 1, 2} when rank 2's join is admitted, and shrinks again when
-// rank 1's voluntary leave is granted (2 -> 3 -> 2). The thresholds
-// are tiny so both view changes land mid-run on all but the smallest
-// instances; instances that finish before a threshold degrade into a
-// plain distributed run plus trailing no-op view changes, which must
-// be equally bit-identical. Every rank's result is compared against
-// the independent serial reference.
+// oracle: a three-rank TCP mesh that starts with members {0, 1}, admits
+// rank 2's join and grants rank 1's voluntary leave, in whichever order
+// the thresholds are crossed. The thresholds are tiny so both view
+// changes land mid-run on all but the smallest instances; instances
+// that finish before a threshold degrade into a plain distributed run
+// plus trailing no-op view changes, which must be equally
+// bit-identical. Every rank's result is compared against the
+// independent serial reference.
 //
 // Specs outside the elastic engine's envelope — more than 64 tile
 // dependences (the fault-tolerance dedup mask it reuses) or tilings

@@ -7,8 +7,9 @@ import (
 
 // TestElasticBitIdentical pushes a handful of generated specs through
 // the elastic-membership differential: a three-rank TCP mesh that
-// scales 2 -> 3 -> 2 mid-run (one join admitted, one voluntary leave
-// granted) and must stay bit-identical to the independent serial
+// starts with two members and changes membership mid-run (one join
+// admitted, one voluntary leave granted) and must stay bit-identical to
+// the independent serial
 // reference on every rank. Skipped in -short mode — each seed is a
 // full multi-epoch view-change and migration cycle.
 func TestElasticBitIdentical(t *testing.T) {

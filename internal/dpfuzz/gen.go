@@ -55,7 +55,6 @@ type Instance struct {
 	Threads     int
 	SendBufs    int
 	RecvBufs    int
-	QueueGroups int
 	Priority    engine.Priority
 	Sched       engine.Sched
 	Balance     balance.Method
@@ -450,7 +449,7 @@ func GenerateClass(seed uint64, class Class) *Instance {
 	in.Threads = 2 + rng.Intn(2)
 	in.SendBufs = 1 + rng.Intn(4)
 	in.RecvBufs = 1 + rng.Intn(4)
-	in.QueueGroups = 1 + rng.Intn(2)
+	rng.Intn(2) // the retired queue-groups knob; still drawn so every seed keeps its instance
 	in.Priority = []engine.Priority{engine.ColumnMajor, engine.LevelSet, engine.FIFO}[rng.Intn(3)]
 	in.Sched = []engine.Sched{engine.SchedHybrid, engine.SchedDynamic}[rng.Intn(2)]
 	in.Balance = []balance.Method{balance.Prefix, balance.Hyperplane}[rng.Intn(2)]

@@ -37,7 +37,7 @@ var regressionCases = []struct {
 		build: func() *Instance {
 			in := &Instance{
 				Seed: 0x2753, N: 1,
-				Nodes: 2, Threads: 2, SendBufs: 2, RecvBufs: 3, QueueGroups: 1,
+				Nodes: 2, Threads: 2, SendBufs: 2, RecvBufs: 3,
 				Priority: engine.ColumnMajor, Balance: balance.Hyperplane,
 			}
 			sp := spec.MustNew("fuzz_0000000000002753", []string{"N"}, []string{"v0", "v1", "v2", "v3"})
@@ -67,7 +67,7 @@ var regressionCases = []struct {
 		build: func() *Instance {
 			in := &Instance{
 				Seed: 0x2985, N: 1,
-				Nodes: 2, Threads: 2, SendBufs: 2, RecvBufs: 4, QueueGroups: 1,
+				Nodes: 2, Threads: 2, SendBufs: 2, RecvBufs: 4,
 				Priority: engine.LevelSet, Balance: balance.Hyperplane,
 			}
 			sp := spec.MustNew("fuzz_0000000000002985", []string{"N"}, []string{"v0", "v1", "v2"})
@@ -93,7 +93,7 @@ var regressionCases = []struct {
 		build: func() *Instance {
 			in := &Instance{
 				Seed: 0x29d5, N: 1,
-				Nodes: 2, Threads: 2, SendBufs: 2, RecvBufs: 4, QueueGroups: 1,
+				Nodes: 2, Threads: 2, SendBufs: 2, RecvBufs: 4,
 				Priority: engine.LevelSet, Balance: balance.Prefix,
 			}
 			sp := spec.MustNew("fuzz_00000000000029d5", []string{"N"}, []string{"v0", "v1", "v2"})
@@ -119,7 +119,7 @@ var regressionCases = []struct {
 		build: func() *Instance {
 			in := &Instance{
 				Seed: 0xc0de0001, N: 25,
-				Nodes: 2, Threads: 2, SendBufs: 1, RecvBufs: 1, QueueGroups: 1,
+				Nodes: 2, Threads: 2, SendBufs: 1, RecvBufs: 1,
 				Priority: engine.FIFO, Balance: balance.Prefix,
 			}
 			sp := spec.MustNew("regress_chain", []string{"N"}, []string{"v0"})
@@ -138,7 +138,7 @@ var regressionCases = []struct {
 		build: func() *Instance {
 			in := &Instance{
 				Seed: 0xc0de0002, N: 11,
-				Nodes: 3, Threads: 2, SendBufs: 2, RecvBufs: 2, QueueGroups: 2,
+				Nodes: 3, Threads: 2, SendBufs: 2, RecvBufs: 2,
 				Priority: engine.ColumnMajor, Balance: balance.Prefix,
 			}
 			sp := spec.MustNew("regress_mag2", []string{"N"}, []string{"v0", "v1"})
@@ -159,7 +159,7 @@ var regressionCases = []struct {
 		build: func() *Instance {
 			in := &Instance{
 				Seed: 0xc0de0003, N: 12,
-				Nodes: 2, Threads: 3, SendBufs: 1, RecvBufs: 3, QueueGroups: 1,
+				Nodes: 2, Threads: 3, SendBufs: 1, RecvBufs: 3,
 				Priority: engine.LevelSet, Balance: balance.Hyperplane,
 			}
 			sp := spec.MustNew("regress_band", []string{"N"}, []string{"v0", "v1"})
@@ -182,7 +182,7 @@ var regressionCases = []struct {
 		build: func() *Instance {
 			in := &Instance{
 				Seed: 0xc0de0004, N: 7,
-				Nodes: 3, Threads: 3, SendBufs: 4, RecvBufs: 1, QueueGroups: 2,
+				Nodes: 3, Threads: 3, SendBufs: 4, RecvBufs: 1,
 				Priority: engine.ColumnMajor, Balance: balance.Prefix, PollingRecv: true,
 			}
 			sp := spec.MustNew("regress_rev", []string{"N"}, []string{"v0", "v1", "v2"})
@@ -205,7 +205,7 @@ var regressionCases = []struct {
 		build: func() *Instance {
 			in := &Instance{
 				Seed: 0xc0de0005, N: 6,
-				Nodes: 2, Threads: 2, SendBufs: 3, RecvBufs: 2, QueueGroups: 1,
+				Nodes: 2, Threads: 2, SendBufs: 3, RecvBufs: 2,
 				Priority: engine.LevelSet, Balance: balance.Prefix,
 			}
 			sp := spec.MustNew("regress_mixed", []string{"N"}, []string{"v0", "v1", "v2"})
@@ -231,7 +231,7 @@ var regressionCases = []struct {
 		build: func() *Instance {
 			in := &Instance{
 				Seed: 0xc0de0006, N: 13,
-				Nodes: 2, Threads: 2, SendBufs: 1, RecvBufs: 1, QueueGroups: 1,
+				Nodes: 2, Threads: 2, SendBufs: 1, RecvBufs: 1,
 				Priority: engine.FIFO, Balance: balance.Hyperplane,
 			}
 			sp := spec.MustNew("regress_neg", []string{"N"}, []string{"v0", "v1"})
@@ -254,7 +254,7 @@ var regressionCases = []struct {
 		build: func() *Instance {
 			in := &Instance{
 				Seed: 0xc0de0008, N: 12, D: 2,
-				Nodes: 2, Threads: 2, SendBufs: 2, RecvBufs: 2, QueueGroups: 1,
+				Nodes: 2, Threads: 2, SendBufs: 2, RecvBufs: 2,
 				Priority: engine.ColumnMajor, Balance: balance.Prefix,
 			}
 			sp := spec.MustNew("regress_vardist", []string{"N", "D"}, []string{"v0", "v1"})
@@ -278,7 +278,7 @@ var regressionCases = []struct {
 		build: func() *Instance {
 			in := &Instance{
 				Seed: 0xc0de0009, N: 24, D: 2,
-				Nodes: 2, Threads: 2, SendBufs: 1, RecvBufs: 2, QueueGroups: 1,
+				Nodes: 2, Threads: 2, SendBufs: 1, RecvBufs: 2,
 				Priority: engine.FIFO, Balance: balance.Prefix,
 			}
 			sp := spec.MustNew("regress_rangechain", []string{"N", "D"}, []string{"v0"})
@@ -301,7 +301,7 @@ var regressionCases = []struct {
 		build: func() *Instance {
 			in := &Instance{
 				Seed: 0xc0de000a, N: 11, D: 2,
-				Nodes: 3, Threads: 2, SendBufs: 2, RecvBufs: 2, QueueGroups: 2,
+				Nodes: 3, Threads: 2, SendBufs: 2, RecvBufs: 2,
 				Priority: engine.LevelSet, Balance: balance.Hyperplane,
 			}
 			sp := spec.MustNew("regress_varstep", []string{"N", "D"}, []string{"v0", "v1"})
@@ -327,7 +327,7 @@ var regressionCases = []struct {
 		build: func() *Instance {
 			in := &Instance{
 				Seed: 0xc0de0007, N: 11,
-				Nodes: 6, Threads: 2, SendBufs: 1, RecvBufs: 1, QueueGroups: 1,
+				Nodes: 6, Threads: 2, SendBufs: 1, RecvBufs: 1,
 				Priority: engine.ColumnMajor, Sched: engine.SchedHybrid, Balance: balance.Prefix,
 			}
 			sp := spec.MustNew("regress_allboundary", []string{"N"}, []string{"v0"})

@@ -11,24 +11,20 @@
 // every cell computed exactly once. Correctness therefore never depends
 // on how fresh (or whether) a checkpoint file is.
 //
-// Format (little-endian, "DPCKPT1\n" magic, trailing FNV-1a checksum):
-//
-//	magic | rank nodes d nd | params | ownedTotal executed |
-//	flags goalVal maxVal | executedKeys | tiles{coords, edges{dep,data}} |
-//	fnv1a(everything above)
+// The file is a DPCKPT1 frame of the shared frontier codec
+// (frontier.go): the run identity, executed set and accumulators as
+// its header, then the buffered tiles as tile records.
 
 package engine
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
-	"dpgen/internal/mpi"
 	"dpgen/internal/obs"
 )
 
@@ -41,7 +37,8 @@ func CheckpointPath(dir string, rank int) string {
 	return filepath.Join(dir, fmt.Sprintf("rank-%d.ckpt", rank))
 }
 
-// checkpoint is the decoded in-memory form of one rank's snapshot.
+// checkpoint is the in-memory form of one rank's snapshot, both as
+// gathered for encoding and as decoded on resume.
 type checkpoint struct {
 	rank, nodes, d, nd int
 	params             []int64
@@ -52,106 +49,67 @@ type checkpoint struct {
 	maxSet             bool
 	maxVal             float64
 	executedKeys       []uint64
-	tiles              []ckptTile
+	tiles              []*pendTile // buffered tiles: coordinates and edges only
 }
 
-// ckptTile is one pending or started tile with its buffered edges.
-type ckptTile struct {
-	tile  []int64
-	edges []ckptEdge
-}
-
-// ckptEdge is one buffered dependence edge.
-type ckptEdge struct {
-	dep  int
-	data []float64
-}
-
-// encodeCheckpoint serializes the node's durable state. The caller
-// holds stripes[0].mu (fault tolerance runs the pending table on one
-// stripe, so that lock covers the pending/started/executedSet maps) and
-// n.mu; goalMu is taken briefly inside. No code path acquires any of
-// them in the reverse order.
-func (n *node) encodeCheckpoint() []byte {
+// snapshot gathers the node's durable state. The caller holds
+// stripes[0].mu (frontier tracking runs the pending table on one
+// stripe, so that lock covers the pending/started/executedSet maps)
+// and n.mu, and must encode before releasing them: the tiles' edges
+// return to the pool once executed. goalMu is taken briefly inside. No
+// code path acquires any of these locks in the reverse order.
+func (n *node) snapshot() *checkpoint {
 	e := n.eng
-	b := make([]byte, 0, 64+16*len(n.executedSet))
-	b = append(b, ckptMagic...)
-	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
-	i64 := func(v int64) { u64(uint64(v)) }
-	f64 := func(v float64) { u64(math.Float64bits(v)) }
-
-	i64(int64(n.id))
-	i64(int64(e.cfg.Nodes))
-	d := len(e.tl.Spec.Vars)
-	i64(int64(d))
-	i64(int64(len(e.tl.Spec.Deps)))
-	i64(int64(len(e.params)))
-	for _, p := range e.params {
-		i64(p)
+	ck := &checkpoint{
+		rank:         n.id,
+		nodes:        e.cfg.Nodes,
+		d:            len(e.tl.Spec.Vars),
+		nd:           len(e.tl.Spec.Deps),
+		params:       e.params,
+		ownedTotal:   n.ownedTotal,
+		executed:     n.executed,
+		executedKeys: make([]uint64, 0, len(n.executedSet)),
 	}
-	i64(n.ownedTotal)
-	i64(n.executed)
-
 	e.goalMu.Lock()
-	var flags uint64
-	if e.goalSet {
-		flags |= 1
-	}
-	if e.maxSet {
-		flags |= 2
-	}
-	goalVal, maxVal := e.goalVal, e.maxVal
+	ck.goalSet, ck.goalVal = e.goalSet, e.goalVal
+	ck.maxSet, ck.maxVal = e.maxSet, e.maxVal
 	e.goalMu.Unlock()
-	u64(flags)
-	f64(goalVal)
-	f64(maxVal)
-
-	i64(int64(len(n.executedSet)))
 	for k := range n.executedSet {
-		u64(k)
+		ck.executedKeys = append(ck.executedKeys, k)
 	}
-
-	// Buffered edges live on pending tiles (some dependences missing)
-	// and started tiles (complete, but not yet unpacked and executed).
-	ntiles := 0
-	for _, p := range n.stripes[0].pending {
+	n.eachLive(func(p *pendTile, _ bool) bool {
 		if len(p.edges) > 0 {
-			ntiles++
+			ck.tiles = append(ck.tiles, p)
 		}
-	}
-	for _, p := range n.started {
-		if len(p.edges) > 0 {
-			ntiles++
-		}
-	}
-	i64(int64(ntiles))
-	emit := func(p *pendTile) {
-		if len(p.edges) == 0 {
-			return
-		}
-		for _, c := range p.tile {
-			i64(c)
-		}
-		i64(int64(len(p.edges)))
-		for _, ed := range p.edges {
-			i64(int64(ed.dep))
-			i64(int64(len(ed.data)))
-			for _, v := range ed.data {
-				f64(v)
-			}
-		}
-	}
-	for _, p := range n.stripes[0].pending {
-		emit(p)
-	}
-	for _, p := range n.started {
-		emit(p)
-	}
+		return false
+	})
+	return ck
+}
 
-	h := fnv.New64a()
-	h.Write(b)
-	u64(h.Sum64())
-	return b
+// encode serializes the snapshot as a DPCKPT1 frame.
+func (ck *checkpoint) encode() []byte {
+	return encodeFrame(ckptMagic, func(put func(uint64)) {
+		var flags uint64
+		if ck.goalSet {
+			flags |= 1
+		}
+		if ck.maxSet {
+			flags |= 2
+		}
+		for _, v := range []int{ck.rank, ck.nodes, ck.d, ck.nd, len(ck.params)} {
+			put(uint64(v))
+		}
+		for _, p := range ck.params {
+			put(uint64(p))
+		}
+		for _, v := range []uint64{uint64(ck.ownedTotal), uint64(ck.executed), flags,
+			math.Float64bits(ck.goalVal), math.Float64bits(ck.maxVal), uint64(len(ck.executedKeys))} {
+			put(v)
+		}
+		for _, k := range ck.executedKeys {
+			put(k)
+		}
+	}, ck.tiles)
 }
 
 // writeCheckpointFile writes the blob atomically: temp file in the same
@@ -179,35 +137,6 @@ func writeCheckpointFile(path string, blob []byte) error {
 	return err
 }
 
-// ckptReader is a bounds-checked cursor over an encoded checkpoint.
-type ckptReader struct {
-	b   []byte
-	err error
-}
-
-func (r *ckptReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 8 {
-		r.err = fmt.Errorf("engine: truncated checkpoint")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *ckptReader) i64() int64   { return int64(r.u64()) }
-func (r *ckptReader) f64() float64 { return math.Float64frombits(r.u64()) }
-func (r *ckptReader) count() (int, bool) {
-	v := r.i64()
-	if r.err == nil && (v < 0 || v > int64(len(r.b))) {
-		r.err = fmt.Errorf("engine: corrupt checkpoint count %d", v)
-	}
-	return int(v), r.err == nil
-}
-
 // loadCheckpoint reads and validates one checkpoint file. A missing
 // file is not an error: it returns (nil, nil) and the rank resumes from
 // scratch (peers redeliver everything it needs).
@@ -219,72 +148,38 @@ func loadCheckpoint(path string) (*checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(blob) < len(ckptMagic)+8 || string(blob[:len(ckptMagic)]) != ckptMagic {
-		return nil, fmt.Errorf("engine: %s is not a checkpoint file", path)
-	}
-	body, sum := blob[:len(blob)-8], binary.LittleEndian.Uint64(blob[len(blob)-8:])
-	h := fnv.New64a()
-	h.Write(body)
-	if h.Sum64() != sum {
-		return nil, fmt.Errorf("engine: checkpoint %s failed its checksum", path)
-	}
-	r := &ckptReader{b: body[len(ckptMagic):]}
-	ck := &checkpoint{
-		rank:  int(r.i64()),
-		nodes: int(r.i64()),
-		d:     int(r.i64()),
-		nd:    int(r.i64()),
-	}
-	if np, ok := r.count(); ok {
-		ck.params = make([]int64, np)
+	ck := &checkpoint{}
+	ck.tiles, err = decodeFrame(blob, ckptMagic, "checkpoint", func(r *frameReader) int {
+		ck.rank, ck.nodes, ck.d, ck.nd = int(r.i64()), int(r.i64()), int(r.i64()), int(r.i64())
+		ck.params = make([]int64, r.count())
 		for i := range ck.params {
 			ck.params[i] = r.i64()
 		}
-	}
-	ck.ownedTotal = r.i64()
-	ck.executed = r.i64()
-	flags := r.u64()
-	ck.goalSet = flags&1 != 0
-	ck.goalVal = r.f64()
-	ck.maxSet = flags&2 != 0
-	ck.maxVal = r.f64()
-	if nk, ok := r.count(); ok {
-		ck.executedKeys = make([]uint64, nk)
+		ck.ownedTotal, ck.executed = r.i64(), r.i64()
+		flags := r.u64()
+		ck.goalSet, ck.goalVal = flags&1 != 0, r.f64()
+		ck.maxSet, ck.maxVal = flags&2 != 0, r.f64()
+		ck.executedKeys = make([]uint64, r.count())
 		for i := range ck.executedKeys {
 			ck.executedKeys[i] = r.u64()
 		}
-	}
-	if nt, ok := r.count(); ok {
-		ck.tiles = make([]ckptTile, 0, nt)
-		for i := 0; i < nt && r.err == nil; i++ {
-			t := ckptTile{tile: make([]int64, ck.d)}
-			for k := range t.tile {
-				t.tile[k] = r.i64()
-			}
-			ne, _ := r.count()
-			for j := 0; j < ne && r.err == nil; j++ {
-				ed := ckptEdge{dep: int(r.i64())}
-				nv, _ := r.count()
-				ed.data = make([]float64, nv)
-				for v := range ed.data {
-					ed.data[v] = r.f64()
-				}
-				t.edges = append(t.edges, ed)
-			}
-			ck.tiles = append(ck.tiles, t)
-		}
-	}
-	if r.err != nil {
-		return nil, fmt.Errorf("engine: decode %s: %w", path, r.err)
+		return ck.d
+	})
+	if err != nil {
+		return nil, fmt.Errorf("engine: %s: %w", path, err)
 	}
 	return ck, nil
 }
 
-// loadResume reads the node's checkpoint (if any), validates it against
-// this run's configuration, and restores the executed-tile set and the
-// goal/max accumulators. The buffered edges are replayed later, by
-// replayCheckpoint, once the ready queues are seeded.
-func (n *node) loadResume() error {
+// resume restores the node from its checkpoint, if there is one: it
+// checks the snapshot against this run's configuration, restores the
+// executed-tile set and the goal/max accumulators, and absorbs the
+// buffered tiles, rebuilding each one's dependence state exactly as it
+// was. Edges from producers this rank already executed arrive only
+// here (those producers will not re-run); edges from the others arrive
+// again later and the duplicate filter drops them. Runs on the seeding
+// goroutine, before workers start.
+func (n *node) resume() error {
 	e := n.eng
 	ck, err := loadCheckpoint(n.ckptPath)
 	if err != nil || ck == nil {
@@ -298,7 +193,7 @@ func (n *node) loadResume() error {
 	case ck.d != len(e.tl.Spec.Vars) || ck.nd != len(e.tl.Spec.Deps):
 		err = fmt.Errorf("%d vars/%d deps, want %d/%d",
 			ck.d, ck.nd, len(e.tl.Spec.Vars), len(e.tl.Spec.Deps))
-	case len(ck.params) != len(e.params) || !sameTile(ck.params, e.params):
+	case !slices.Equal(ck.params, e.params):
 		err = fmt.Errorf("params %v, want %v", ck.params, e.params)
 	case ck.ownedTotal != n.ownedTotal:
 		err = fmt.Errorf("%d owned tiles, want %d", ck.ownedTotal, n.ownedTotal)
@@ -320,44 +215,16 @@ func (n *node) loadResume() error {
 		e.maxSet = true
 	}
 	e.goalMu.Unlock()
-	n.resumeCk = ck
-	return nil
-}
-
-// replayCheckpoint re-delivers the checkpoint's buffered edges into the
-// pending table, rebuilding each stored tile's dependence state exactly
-// as it was: edges from producers this rank already executed arrive
-// only here (those producers will not re-run), while edges from
-// not-yet-executed producers arrive again later and are dropped by the
-// duplicate filter. Runs on the seeding goroutine, before workers start.
-func (n *node) replayCheckpoint(lane *obs.Lane) {
-	ck := n.resumeCk
+	lane := n.initLane()
 	var t0 int64
 	if lane != nil {
 		t0 = lane.Now()
 	}
-	ds := newDelivState(n.eng)
-	var edges int64
-	for _, t := range ck.tiles {
-		for _, ed := range t.edges {
-			data := mpi.GetData(len(ed.data))
-			copy(data, ed.data)
-			n.deliver(t.tile, ed.dep, data, false, lane, ds)
-			edges++
-		}
-	}
+	edges := n.absorb(ck.tiles, lane, newDelivState(e))
 	if lane != nil {
 		lane.Span(obs.KRecover, "", -1, edges, t0)
 	}
-}
-
-// quiescer is the optional transport facet the checkpointer consults:
-// zero pending (unacknowledged) sends means every issued edge has been
-// received, which is what makes the executed-tile frontier durable.
-// Transports without the method (the in-memory communicator, whose
-// deliveries are synchronous) are always quiescent.
-type quiescer interface {
-	PendingSends() int
+	return nil
 }
 
 // checkpointer is the per-node background loop that writes due
@@ -400,7 +267,7 @@ func (n *node) maybeCheckpoint(lane *obs.Lane) {
 		st0.mu.Unlock()
 		return
 	}
-	if q, ok := n.rank.(quiescer); ok && q.PendingSends() != 0 {
+	if !n.quiescent() {
 		n.mu.Unlock()
 		st0.mu.Unlock()
 		return
@@ -411,7 +278,7 @@ func (n *node) maybeCheckpoint(lane *obs.Lane) {
 	if lane != nil {
 		t0 = lane.Now()
 	}
-	blob := n.encodeCheckpoint()
+	blob := n.snapshot().encode()
 	n.mu.Unlock()
 	st0.mu.Unlock()
 

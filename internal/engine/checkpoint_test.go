@@ -3,64 +3,12 @@ package engine
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
-
-// encodeTestCheckpoint builds a checkpoint blob for the given decoded
-// form, independently of encodeCheckpoint, so the decoder is tested
-// against the documented format rather than against the encoder.
-func encodeTestCheckpoint(ck *checkpoint) []byte {
-	b := []byte(ckptMagic)
-	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
-	i64 := func(v int64) { u64(uint64(v)) }
-	f64 := func(v float64) { u64(math.Float64bits(v)) }
-	i64(int64(ck.rank))
-	i64(int64(ck.nodes))
-	i64(int64(ck.d))
-	i64(int64(ck.nd))
-	i64(int64(len(ck.params)))
-	for _, p := range ck.params {
-		i64(p)
-	}
-	i64(ck.ownedTotal)
-	i64(ck.executed)
-	var flags uint64
-	if ck.goalSet {
-		flags |= 1
-	}
-	if ck.maxSet {
-		flags |= 2
-	}
-	u64(flags)
-	f64(ck.goalVal)
-	f64(ck.maxVal)
-	i64(int64(len(ck.executedKeys)))
-	for _, k := range ck.executedKeys {
-		u64(k)
-	}
-	i64(int64(len(ck.tiles)))
-	for _, t := range ck.tiles {
-		for _, c := range t.tile {
-			i64(c)
-		}
-		i64(int64(len(t.edges)))
-		for _, ed := range t.edges {
-			i64(int64(ed.dep))
-			i64(int64(len(ed.data)))
-			for _, v := range ed.data {
-				f64(v)
-			}
-		}
-	}
-	h := fnv.New64a()
-	h.Write(b)
-	u64(h.Sum64())
-	return b
-}
 
 func TestCheckpointRoundtrip(t *testing.T) {
 	want := &checkpoint{
@@ -73,18 +21,18 @@ func TestCheckpointRoundtrip(t *testing.T) {
 		maxSet:       true,
 		maxVal:       9.5,
 		executedKeys: []uint64{7, 11, 42},
-		tiles: []ckptTile{
-			{tile: []int64{3, 5}, edges: []ckptEdge{
+		tiles: []*pendTile{
+			{tile: []int64{3, 5}, edges: []edge{
 				{dep: 0, data: []float64{1, 2.5}},
 				{dep: 2, data: []float64{-4}},
 			}},
-			{tile: []int64{0, 9}, edges: []ckptEdge{
+			{tile: []int64{0, 9}, edges: []edge{
 				{dep: 1, data: []float64{0.125, 8, 16}},
 			}},
 		},
 	}
 	path := CheckpointPath(t.TempDir(), want.rank)
-	if err := writeCheckpointFile(path, encodeTestCheckpoint(want)); err != nil {
+	if err := writeCheckpointFile(path, want.encode()); err != nil {
 		t.Fatal(err)
 	}
 	got, err := loadCheckpoint(path)
@@ -137,53 +85,170 @@ func TestCheckpointMissingFile(t *testing.T) {
 	}
 }
 
+// sealWords frames raw 64-bit words the way the frontier codec does
+// (magic, words, FNV-1a checksum), so a test can put any value into a
+// checksummed body.
+func sealWords(magic string, words ...uint64) []byte {
+	b := []byte(magic)
+	for _, w := range words {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	h := fnv.New64a()
+	h.Write(b)
+	return binary.LittleEndian.AppendUint64(b, h.Sum64())
+}
+
+// TestCheckpointRejectsCorruption: checkpoint files and migration
+// blobs share one decoder, and both reject every kind of damage with
+// an error rather than a crash or a silent misread.
 func TestCheckpointRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
-	blob := encodeTestCheckpoint(&checkpoint{rank: 0, nodes: 1, d: 1, nd: 1, params: []int64{8}})
+	ckpt := (&checkpoint{rank: 0, nodes: 1, d: 1, nd: 1, params: []int64{8}}).encode()
+	mig := migrationBlob(3, []*pendTile{{tile: []int64{2}, edges: []edge{{dep: 0, data: []float64{1.5}}}}})
+	loadFile := func(name string, blob []byte) error {
+		path := filepath.Join(dir, name+".ckpt")
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := loadCheckpoint(path)
+		return err
+	}
+	readMig := func(_ string, blob []byte) error {
+		_, err := readMigrationBlob(blob, 1)
+		return err
+	}
 
 	cases := []struct {
 		name    string
+		blob    []byte
+		decode  func(string, []byte) error
 		mutate  func([]byte) []byte
 		errPart string
 	}{
-		{"bad-magic", func(b []byte) []byte { b[0] = 'X'; return b }, "not a checkpoint"},
-		{"flipped-bit", func(b []byte) []byte { b[len(ckptMagic)+3] ^= 0x40; return b }, "checksum"},
-		{"truncated-tail", func(b []byte) []byte { return b[:len(b)-9] }, "checksum"},
-		{"too-short", func(b []byte) []byte { return b[:4] }, "not a checkpoint"},
+		{"bad-magic", ckpt, loadFile, func(b []byte) []byte { b[0] = 'X'; return b }, "not a checkpoint"},
+		{"flipped-bit", ckpt, loadFile, func(b []byte) []byte { b[len(ckptMagic)+3] ^= 0x40; return b }, "checksum"},
+		{"truncated-tail", ckpt, loadFile, func(b []byte) []byte { return b[:len(b)-9] }, "checksum"},
+		{"too-short", ckpt, loadFile, func(b []byte) []byte { return b[:4] }, "not a checkpoint"},
+		// An absurd element count inside a checksummed body must still
+		// be rejected by the bounds-checked reader, not crash the decoder.
+		{"oversized-count", ckpt, loadFile, func([]byte) []byte {
+			return sealWords(ckptMagic, 0, 0, 0, 0, 1<<40) // params count
+		}, "corrupt count"},
+		{"migration-bad-magic", mig, readMig, func(b []byte) []byte { b[2] = 'X'; return b }, "not a migration blob"},
+		{"migration-flipped-bit", mig, readMig, func(b []byte) []byte { b[len(migMagic)+20] ^= 0x01; return b }, "checksum"},
+		{"migration-truncated", mig, readMig, func(b []byte) []byte { return b[:len(b)-5] }, "checksum"},
+		{"migration-oversized-count", mig, readMig, func([]byte) []byte {
+			return sealWords(migMagic, 3, 1<<40) // epoch, tile count
+		}, "corrupt count"},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(dir, tc.name+".ckpt")
-			mutated := tc.mutate(append([]byte(nil), blob...))
-			if err := os.WriteFile(path, mutated, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			ck, err := loadCheckpoint(path)
+			err := tc.decode(tc.name, tc.mutate(append([]byte(nil), tc.blob...)))
 			if err == nil {
-				t.Fatalf("corrupt checkpoint decoded: %+v", ck)
+				t.Fatal("corrupt blob decoded")
 			}
 			if !strings.Contains(err.Error(), tc.errPart) {
 				t.Errorf("error %q lacks %q", err, tc.errPart)
 			}
 		})
 	}
+}
 
-	// An absurd element count inside a checksummed body must still be
-	// rejected by the bounds-checked reader, not crash the decoder.
-	evil := []byte(ckptMagic)
-	for i := 0; i < 4; i++ {
-		evil = binary.LittleEndian.AppendUint64(evil, 0)
-	}
-	evil = binary.LittleEndian.AppendUint64(evil, 1<<40) // params count
-	h := fnv.New64a()
-	h.Write(evil)
-	evil = binary.LittleEndian.AppendUint64(evil, h.Sum64())
-	path := filepath.Join(dir, "evil-count.ckpt")
-	if err := os.WriteFile(path, evil, 0o644); err != nil {
+// TestAbsorbTwiceIsIdempotent: absorbing the same frontier a second
+// time (a replayed migration blob, or a resume whose checkpoint edges
+// also arrive again from peers) leaves the pending table, the started
+// set and the ready queues exactly as the first pass left them, and
+// the duplicate filter counts every edge of the second pass.
+func TestAbsorbTwiceIsIdempotent(t *testing.T) {
+	tl := bandit2Tiling(t, 4, nil)
+	e := &engine{tl: tl, params: []int64{12}, kernel: bandit2Kernel,
+		cfg: Config{Checkpoint: CheckpointConfig{Dir: t.TempDir()}}.withDefaults()}
+	e.buildKeyDims()
+	if err := e.buildIntKeys(); err != nil {
 		t.Fatal(err)
 	}
-	if ck, err := loadCheckpoint(path); err == nil {
-		t.Fatalf("oversized count decoded: %+v", ck)
+	n := newNode2ForTest(e)
+
+	// One tile of each frontier kind: a pending tile missing one of its
+	// edges, a tile its edges complete (started and queued), and an
+	// initial tile with no edges (seeded).
+	probe := tl.NewProbe(e.params)
+	edgesFor := func(k int) []edge {
+		eds := make([]edge, k)
+		for j := range eds {
+			eds[j] = edge{dep: j, data: []float64{float64(j), 0.5}}
+		}
+		return eds
 	}
+	var partial, complete, initial *pendTile
+	lo, hi := tl.TileBounds(e.params)
+	for tile := append([]int64(nil), lo...); tile != nil; tile = nextInBox(tile, lo, hi) {
+		if !probe.InSpace(tile) {
+			continue
+		}
+		c := probe.DepCount(tile)
+		p := &pendTile{tile: append([]int64(nil), tile...)}
+		switch {
+		case c == 0 && initial == nil:
+			initial = p
+		case c >= 2 && partial == nil:
+			p.edges = edgesFor(c - 1)
+			partial = p
+		case c >= 1 && complete == nil:
+			p.edges = edgesFor(c)
+			complete = p
+		}
+	}
+	if partial == nil || complete == nil || initial == nil {
+		t.Fatalf("tile space lacks a frontier kind: partial %v complete %v initial %v", partial, complete, initial)
+	}
+	nedges := int64(len(partial.edges) + len(complete.edges))
+	blob := migrationBlob(1, []*pendTile{partial, complete, initial})
+	absorb := func() int64 {
+		tiles, err := readMigrationBlob(blob, len(tl.Spec.Vars))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n.absorb(tiles, nil, newDelivState(e))
+	}
+	type state struct {
+		pending       map[uint64]int // key -> buffered edges
+		started       int
+		queued, edges int64
+	}
+	observe := func() state {
+		s := state{pending: map[uint64]int{}, started: len(n.started), queued: n.qlen.Load(), edges: n.pendingEdges.Load()}
+		for k, p := range n.stripes[0].pending {
+			s.pending[k] = len(p.edges)
+		}
+		return s
+	}
+
+	if got := absorb(); got != nedges {
+		t.Fatalf("first pass delivered %d edges, want %d", got, nedges)
+	}
+	first := observe()
+	if len(first.pending) != 1 || first.started != 2 || first.queued != 2 || first.edges != nedges {
+		t.Fatalf("first pass: %+v, want 1 pending tile, 2 started, 2 queued, %d buffered edges", first, nedges)
+	}
+	if absorb(); n.st.EdgesDroppedDup != nedges {
+		t.Errorf("second pass dropped %d duplicate edges, want all %d", n.st.EdgesDroppedDup, nedges)
+	}
+	if second := observe(); !reflect.DeepEqual(second, first) {
+		t.Errorf("second pass changed the frontier: %+v, was %+v", second, first)
+	}
+}
+
+// nextInBox advances t to the next point of the box [lo, hi] in
+// odometer order, returning nil after the last one.
+func nextInBox(t, lo, hi []int64) []int64 {
+	for k := range t {
+		if t[k] < hi[k] {
+			t[k]++
+			return t
+		}
+		t[k] = lo[k]
+	}
+	return nil
 }

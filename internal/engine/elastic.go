@@ -26,8 +26,11 @@
 //
 // JOIN and LEAVE are requests to rank 0: a joining rank announces
 // itself and is admitted by the scale schedule; a leaving rank asks out
-// after LeaveAfterTiles executed tiles and keeps executing until the
-// view change strips its ownership. Departed ranks stay connected —
+// after LeaveAfterTiles executed tiles and holds there until the view
+// change strips its ownership. A threshold holds the rank that crossed
+// it (rank 0 at a ScaleAt event, a leaver at its LeaveAfterTiles), so
+// its view change always finds that rank's remaining tiles unexecuted
+// and movable. Departed ranks stay connected —
 // they answer PREPs trivially and join the final result merge — so a
 // "leave" is a transfer of work, not a socket teardown.
 //
@@ -44,8 +47,8 @@ import (
 	"container/heap"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -74,9 +77,11 @@ type ElasticConfig struct {
 	// coordinator. Identical on every rank.
 	Members []int
 	// ScaleAt is rank 0's view-change schedule, processed in
-	// AfterTiles order; only rank 0 reads it. If rank 0 finishes its
-	// own tiles before an event's threshold, the remaining events fire
-	// immediately (admitting however many joiners have announced).
+	// AfterTiles order; only rank 0 reads it. Rank 0's workers hold at
+	// each threshold until the event is applied, and a scale-up admits
+	// the joiners announced by the event's census (every running
+	// joiner). If rank 0 finishes its own tiles before an event's
+	// threshold, the remaining events fire immediately.
 	ScaleAt []ScaleEvent
 	// JoinRequest makes this rank announce itself to rank 0 as a
 	// joiner at startup. It runs as a standby (owning nothing) until a
@@ -84,8 +89,12 @@ type ElasticConfig struct {
 	JoinRequest bool
 	// LeaveAfterTiles, if positive, makes this rank request a
 	// voluntary leave once it has executed that many tiles (or all of
-	// its tiles, whichever comes first). The rank keeps executing
-	// until the leave is granted, then serves as a standby.
+	// its tiles, whichever comes first). The rank holds at that tile
+	// boundary until the leave is granted, then serves as a standby; a
+	// leave still ungranted at FIN is dropped and the rank finishes its
+	// own tiles.
+	// Rank 0 grants a leave once no view change is in flight and no
+	// scale event is due.
 	LeaveAfterTiles int64
 	// ExpectLeaves is the number of voluntary leave requests rank 0
 	// waits for before declaring the membership final (FIN); only
@@ -102,7 +111,6 @@ type elasticTransport interface {
 	SendElastic(dst int, kind byte, payload []byte) error
 	ElasticCh() <-chan mpi.ElasticMsg
 	SetEpoch(e uint32)
-	PendingSends() int
 }
 
 // normalizeMembers validates and sorts an initial member list.
@@ -150,11 +158,11 @@ func (e *engine) ownerOf(t []int64) int {
 // slots to drain. Receivers never pause — acknowledgements must keep
 // flowing or no rank could ever drain its sends.
 
-// pauseGate parks the worker while a view change is in progress, then
-// claims an executing slot.
+// pauseGate parks the worker while a view change is in progress or the
+// rank is held at a threshold, then claims an executing slot.
 func (n *node) pauseGate() {
 	n.mu.Lock()
-	for n.paused && !n.done {
+	for (n.paused || n.held) && !n.done {
 		n.pauseCond.Wait()
 	}
 	n.executingN++
@@ -190,6 +198,15 @@ func (n *node) resumeWorkers() {
 	n.paused = false
 	n.pauseCond.Broadcast()
 	n.cond.Broadcast()
+	n.mu.Unlock()
+}
+
+// releaseHold lets workers held at a scale or leave threshold run
+// again.
+func (n *node) releaseHold() {
+	n.mu.Lock()
+	n.held = false
+	n.pauseCond.Broadcast()
 	n.mu.Unlock()
 }
 
@@ -289,54 +306,32 @@ func decodeEpochPayload(pl []byte) (epoch uint32, members []int, census []int64,
 
 // ---- migration blob ----
 //
-// The blob a rank ships when a view change moves live tiles off it:
-// the tile coordinates plus every buffered edge, byte-identical to how
-// the edges arrived. It rides a normal DATA frame (tag -1) with the
-// blob bytes packed into the float64 payload bit-for-bit and meta[0]
-// holding the byte length, so migration inherits the transport's
-// acknowledgement, backpressure and retention machinery unchanged.
+// The blob a rank ships when a view change moves live tiles off it is
+// a DPMIG01 frame (frontier.go): the epoch, then the tile records. It
+// rides a normal DATA frame (tag -1), bit-packed into the float64
+// payload with meta[0] holding the byte length, so migration inherits
+// the transport's acknowledgement, backpressure and retention.
 
 const migMagic = "DPMIG01\n"
 
-// encodeMigration serializes the tiles bound for one destination.
-// Format mirrors the checkpoint codec: magic | epoch | ntiles |
-// tiles{coords, edges{dep, ndata, data}} | fnv1a checksum.
-func (e *engine) encodeMigration(epoch uint32, tiles []*pendTile) []byte {
-	b := make([]byte, 0, 64)
-	b = append(b, migMagic...)
-	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
-	i64 := func(v int64) { u64(uint64(v)) }
-	u64(uint64(epoch))
-	i64(int64(len(tiles)))
-	for _, p := range tiles {
-		for _, c := range p.tile {
-			i64(c)
-		}
-		i64(int64(len(p.edges)))
-		for _, ed := range p.edges {
-			i64(int64(ed.dep))
-			i64(int64(len(ed.data)))
-			for _, v := range ed.data {
-				u64(math.Float64bits(v))
-			}
-		}
-	}
-	h := fnv.New64a()
-	h.Write(b)
-	u64(h.Sum64())
-	return b
+// migrationBlob encodes the tiles bound for one destination.
+func migrationBlob(epoch uint32, tiles []*pendTile) []byte {
+	return encodeFrame(migMagic, func(put func(uint64)) { put(uint64(epoch)) }, tiles)
 }
 
-// blobToFloats packs blob bytes into a pooled float64 payload
-// bit-for-bit (the last word zero-padded) with meta[0] carrying the
-// byte length.
+// readMigrationBlob decodes a migration blob for a d-dimensional
+// tiling; the epoch is informational and skipped.
+func readMigrationBlob(blob []byte, d int) ([]*pendTile, error) {
+	return decodeFrame(blob, migMagic, "migration blob", func(r *frameReader) int { r.u64(); return d })
+}
+
+// blobToFloats packs blob bytes (a frame is whole 64-bit words) into
+// a pooled float64 payload bit-for-bit, with meta[0] carrying the byte
+// length.
 func blobToFloats(blob []byte) (data []float64, meta []int64) {
-	nw := (len(blob) + 7) / 8
-	data = mpi.GetData(nw)
-	for i := 0; i < nw; i++ {
-		var w [8]byte
-		copy(w[:], blob[8*i:])
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(w[:]))
+	data = mpi.GetData(len(blob) / 8)
+	for i := range data {
+		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(blob[8*i:]))
 	}
 	meta = mpi.GetMeta(1)
 	meta[0] = int64(len(blob))
@@ -356,95 +351,22 @@ func floatsToBlob(data []float64, nbytes int64) []byte {
 }
 
 // applyMigration absorbs one inbound migration blob on the receiver
-// goroutine: every carried tile is re-materialized by re-delivering
-// its buffered edges through the normal delivery path (the duplicate
-// filter makes this idempotent), and a carried tile with no edges — an
-// initial tile, which has no producers — is seeded directly. The
-// transport slot is released only after this returns, so the sender's
-// next quiescence point proves the blob was applied.
+// goroutine (see absorb). The transport slot is released only after
+// this returns, so the sender's next quiescence point proves the blob
+// was applied.
 func (n *node) applyMigration(data []float64, meta []int64, lane *obs.Lane, ds *delivState) {
-	e := n.eng
-	blob := floatsToBlob(data, meta[0])
-	if len(blob) < len(migMagic)+8 || string(blob[:len(migMagic)]) != migMagic {
-		panic(fmt.Sprintf("engine: rank %d received a corrupt migration blob (%d bytes)", n.id, len(blob)))
+	tiles, err := readMigrationBlob(floatsToBlob(data, meta[0]), len(n.eng.tl.Spec.Vars))
+	if err != nil {
+		panic(fmt.Sprintf("engine: rank %d received a corrupt migration blob: %v", n.id, err))
 	}
-	body, sum := blob[:len(blob)-8], binary.LittleEndian.Uint64(blob[len(blob)-8:])
-	h := fnv.New64a()
-	h.Write(body)
-	if h.Sum64() != sum {
-		panic(fmt.Sprintf("engine: migration blob into rank %d failed its checksum", n.id))
-	}
-	r := &ckptReader{b: body[len(migMagic):]}
-	r.u64() // epoch, informational
-	d := len(e.tl.Spec.Vars)
-	nt, _ := r.count()
-	var tiles, edges int64
-	for i := 0; i < nt && r.err == nil; i++ {
-		t := make([]int64, d)
-		for k := range t {
-			t[k] = r.i64()
-		}
-		ne, _ := r.count()
-		if ne == 0 {
-			// An initial tile (no producers): nothing will ever deliver
-			// an edge for it, so seed it the way run() seeds initial
-			// tiles, unless this rank somehow already has it.
-			n.seedMigrated(t, lane)
-			tiles++
-			continue
-		}
-		for j := 0; j < ne && r.err == nil; j++ {
-			dep := int(r.i64())
-			nv, ok := r.count()
-			if !ok {
-				break
-			}
-			buf := mpi.GetData(nv)
-			for v := 0; v < nv; v++ {
-				buf[v] = r.f64()
-			}
-			n.deliver(t, dep, buf, false, lane, ds)
-			edges++
-		}
-		tiles++
-	}
-	if r.err != nil {
-		panic(fmt.Sprintf("engine: decode migration blob into rank %d: %v", n.id, r.err))
-	}
+	edges := n.absorb(tiles, lane, ds)
 	n.mu.Lock()
-	n.st.TilesMigratedIn += tiles
+	n.st.TilesMigratedIn += int64(len(tiles))
 	n.st.EdgesMigratedIn += edges
 	n.mu.Unlock()
 	if lane != nil {
-		lane.Instant(obs.KMigrateIn, "", -1, tiles)
+		lane.Instant(obs.KMigrateIn, "", -1, int64(len(tiles)))
 	}
-}
-
-// seedMigrated enqueues a migrated-in initial tile.
-func (n *node) seedMigrated(t []int64, lane *obs.Lane) {
-	e := n.eng
-	ik := e.intKey(t)
-	st0 := &n.stripes[0]
-	st0.mu.Lock()
-	if _, dup := n.executedSet[ik]; dup {
-		st0.mu.Unlock()
-		return
-	}
-	if _, dup := n.started[ik]; dup {
-		st0.mu.Unlock()
-		return
-	}
-	p := &pendTile{
-		tile: t,
-		key:  make([]int64, len(e.keyDims)),
-		seq:  n.seqA.Add(1),
-	}
-	e.makeKey(p.tile, p.key)
-	p.level = -sum64(p.key)
-	p.group = n.shardOf(p.tile)
-	n.started[ik] = p
-	st0.mu.Unlock()
-	n.enqueue(p, lane)
 }
 
 // ---- epoch application ----
@@ -458,11 +380,12 @@ func (n *node) seedMigrated(t []int64, lane *obs.Lane) {
 // owned-tile total, resumes the workers, and only then ships the
 // migration blobs — inline on the elastic loop, so this rank cannot
 // acknowledge the *next* PREP before its blobs are on the wire (and
-// therefore, by the quiescence rule, applied).
-func (n *node) applyEpoch(epoch uint32, members []int, census []int64, lane *obs.Lane) {
+// therefore, by the quiescence rule, applied). It returns how many
+// unexecuted tiles changed owner and how many were left at the census.
+func (n *node) applyEpoch(epoch uint32, members []int, census []int64, lane *obs.Lane) (moved, left int64) {
 	e := n.eng
 	prev := e.assignP.Load()
-	next, _, err := balance.Rebalance(prev, members, census)
+	next, mv, err := balance.Rebalance(prev, members, census)
 	if err != nil {
 		// Every input is protocol-carried state that all ranks compute
 		// identically; a failure here is a protocol bug, not a user error.
@@ -474,28 +397,22 @@ func (n *node) applyEpoch(epoch uint32, members []int, census []int64, lane *obs
 	// the started map (and, by pointer, in some shard queue — workers
 	// are paused with no tile popped, so the queues hold all of them).
 	out := make(map[int][]*pendTile)
-	var drop map[*pendTile]bool
+	drop := make(map[*pendTile]bool)
 	st0 := &n.stripes[0]
 	st0.mu.Lock()
-	for k, p := range st0.pending {
-		if o := next.Owner(p.tile); o != n.id {
-			delete(st0.pending, k)
-			n.pendingTiles.Add(-1)
-			out[o] = append(out[o], p)
+	n.eachLive(func(p *pendTile, started bool) bool {
+		o := next.Owner(p.tile)
+		if o == n.id {
+			return false
 		}
-	}
-	for k, p := range n.started {
-		if o := next.Owner(p.tile); o != n.id {
-			delete(n.started, k)
-			out[o] = append(out[o], p)
-			if drop == nil {
-				drop = make(map[*pendTile]bool)
-			}
+		out[o] = append(out[o], p)
+		if started {
 			drop[p] = true
 		}
-	}
+		return true
+	})
 	st0.mu.Unlock()
-	if drop != nil {
+	if len(drop) > 0 {
 		n.dropQueued(drop)
 	}
 
@@ -504,8 +421,10 @@ func (n *node) applyEpoch(epoch uint32, members []int, census []int64, lane *obs
 	var remaining int64
 	slabs := next.Slabs()
 	for i := range slabs {
+		u := slabs[i].Tiles - census[i]
+		left += u
 		if next.SlabOwner(i) == n.id {
-			remaining += slabs[i].Tiles - census[i]
+			remaining += u
 		}
 	}
 
@@ -519,6 +438,9 @@ func (n *node) applyEpoch(epoch uint32, members []int, census []int64, lane *obs
 	if lane != nil {
 		lane.Instant(obs.KEpoch, "", -1, int64(epoch))
 	}
+	if !slices.Contains(members, n.id) {
+		n.releaseHold() // a held leaver's leave is granted
+	}
 	n.resumeWorkers()
 
 	// Ship the extracted tiles. Sends may block on backpressure; that
@@ -526,7 +448,7 @@ func (n *node) applyEpoch(epoch uint32, members []int, census []int64, lane *obs
 	// elastic loop cannot reach the next PREP until the blobs are sent.
 	var tilesOut, edgesOut int64
 	for dst, tiles := range out {
-		blob := e.encodeMigration(epoch, tiles)
+		blob := migrationBlob(epoch, tiles)
 		var freedEdges, freedElems int64
 		for _, p := range tiles {
 			tilesOut++
@@ -555,6 +477,7 @@ func (n *node) applyEpoch(epoch uint32, members []int, census []int64, lane *obs
 	}
 	// A leaver may now own exactly what it already executed.
 	n.checkFinished()
+	return mv.MovedTiles, left
 }
 
 // dropQueued removes migrated-out ready tiles from the shard queues by
@@ -580,21 +503,21 @@ func (n *node) dropQueued(drop map[*pendTile]bool) {
 			s.heap.items = kept
 			heap.Init(&s.heap)
 		}
-		// The static deque is unused under elastic (the static phase
-		// is disabled), but keep it honest anyway.
-		keptDq := s.dq[s.dqHead:][:0]
-		for _, p := range s.dq[s.dqHead:] {
-			if drop[p] {
-				removed++
-			} else {
-				keptDq = append(keptDq, p)
-			}
-		}
-		s.dq = keptDq
-		s.dqHead = 0
 		s.mu.Unlock()
 	}
 	n.qlen.Add(-removed)
+}
+
+// noteScaleNoop records why a scale event moved nothing, in the stats
+// and on the elastic trace lane.
+func (n *node) noteScaleNoop(reason string, epoch uint32, lane *obs.Lane) {
+	n.mu.Lock()
+	n.st.ScaleNoops++
+	n.st.ScaleNoopReason = reason
+	n.mu.Unlock()
+	if lane != nil {
+		lane.Instant(obs.KScaleNoop, reason, -1, int64(epoch))
+	}
 }
 
 // ---- the per-rank elastic loop ----
@@ -612,7 +535,6 @@ func (e *engine) elasticLoop(n *node, lane *obs.Lane) {
 	// Coordinator state (rank 0 only).
 	var (
 		members    []int
-		schedule   []ScaleEvent
 		joiners    []int
 		leaveReqs  []int
 		leavesSeen int
@@ -620,14 +542,13 @@ func (e *engine) elasticLoop(n *node, lane *obs.Lane) {
 		acksLeft   int // ranks yet to ACK; 0 = no view change in flight
 		census     []int64
 		nextM      []int // member set of the in-flight view change
+		admit      int   // joiners the in-flight view admits, resolved at its census
+		scaling    bool  // the in-flight view change is a scale event
+		noJoiners  bool  // the in-flight scale-up found no joiner to admit
 		finSent    bool
 	)
 	if n.id == 0 {
 		members = append([]int(nil), e.initialMembers...)
-		schedule = append([]ScaleEvent(nil), cfg.ScaleAt...)
-		sort.SliceStable(schedule, func(i, j int) bool {
-			return schedule[i].AfterTiles < schedule[j].AfterTiles
-		})
 		census = make([]int64, len(e.assign.Slabs()))
 	}
 
@@ -639,18 +560,10 @@ func (e *engine) elasticLoop(n *node, lane *obs.Lane) {
 			return false
 		}
 	}
-	contains := func(s []int, r int) bool {
-		for _, v := range s {
-			if v == r {
-				return true
-			}
-		}
-		return false
-	}
 
-	startView := func(m []int) {
+	startView := func(m []int, scale bool) {
 		epoch++
-		nextM = m
+		nextM, scaling = m, scale
 		acksLeft = world
 		for i := range census {
 			census[i] = 0
@@ -662,70 +575,67 @@ func (e *engine) elasticLoop(n *node, lane *obs.Lane) {
 		}
 	}
 
-	// maybeAct runs the coordinator triggers: the scale schedule in
-	// order, then queued voluntary leaves, then FIN. One view change at
-	// a time. If rank 0 has finished its own tiles the remaining
-	// schedule flushes immediately — its executed counter will never
-	// advance past a threshold it has not already crossed.
+	// dueEvent pops the scale schedule's head once rank 0 has reached
+	// its threshold (or finished its own tiles). Otherwise no event is
+	// due, and it releases rank 0's threshold hold in the same critical
+	// section as the check, so a hold set concurrently is never lost.
+	dueEvent := func() (ev ScaleEvent, due bool, left int) {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		s := n.schedule
+		if due = len(s) > 0 && (n.executed >= s[0].AfterTiles || n.executed == n.ownedTotal); due {
+			ev, n.schedule = s[0], s[1:]
+		} else if n.held {
+			n.held = false
+			n.pauseCond.Broadcast()
+		}
+		return ev, due, len(n.schedule)
+	}
+
+	// maybeAct runs the coordinator triggers, one view change at a time
+	// and only once rank 0 has applied the previous one: a due scale
+	// event, else queued voluntary leaves, else — once the schedule is
+	// done and every expected leave has been seen — FIN. Rank 0 holds
+	// at each event's threshold (execTile) until the event is applied,
+	// so its census finds every tile rank 0 had not reached still
+	// unexecuted. If rank 0 has finished its own tiles the remaining
+	// schedule flushes immediately.
 	maybeAct := func() {
-		if n.id != 0 || finSent || acksLeft > 0 {
+		if n.id != 0 || finSent || acksLeft > 0 || n.curEpoch.Load() != epoch {
 			return
 		}
-		n.mu.Lock()
-		ex := n.executed
-		localDone := n.executed == n.ownedTotal
-		n.mu.Unlock()
-		for len(schedule) > 0 {
-			ev := schedule[0]
-			if ex < ev.AfterTiles && !localDone {
-				return
-			}
+		ev, due, left := dueEvent()
+		for ; due; ev, due, left = dueEvent() {
 			if ev.Delta > 0 {
-				take := ev.Delta
-				if len(joiners) < take {
-					if !localDone {
-						return // wait for the announcements
-					}
-					take = len(joiners)
-				}
-				if take == 0 {
-					schedule = schedule[1:]
-					continue
-				}
-				m := append(append([]int(nil), members...), joiners[:take]...)
-				sort.Ints(m)
-				joiners = append([]int(nil), joiners[take:]...)
-				schedule = schedule[1:]
-				startView(m)
+				// Admission is resolved at the census: a joiner announces
+				// before it acknowledges any PREP, so once every rank has
+				// acknowledged, every running joiner is known.
+				admit = ev.Delta
+				startView(members, true)
 				return
 			}
 			// Shrink: drop the highest-ranked members; rank 0 (first,
 			// since members stay sorted) is never removed.
-			m := append([]int(nil), members...)
-			for k := -ev.Delta; k > 0 && len(m) > 1; k-- {
-				m = m[:len(m)-1]
+			if m := members[:max(1, len(members)+ev.Delta)]; len(m) < len(members) {
+				startView(append([]int(nil), m...), true)
+				return
 			}
-			schedule = schedule[1:]
-			if len(m) == len(members) {
-				continue
-			}
-			startView(m)
-			return
+			n.noteScaleNoop("no member to remove", epoch, lane)
 		}
 		if len(leaveReqs) > 0 {
 			m := make([]int, 0, len(members))
 			for _, r := range members {
-				if !contains(leaveReqs, r) {
+				if !slices.Contains(leaveReqs, r) {
 					m = append(m, r)
 				}
 			}
 			leaveReqs = nil
 			if len(m) < len(members) && len(m) >= 1 {
-				startView(m)
+				startView(m, false)
 				return
 			}
 		}
-		if leavesSeen >= cfg.ExpectLeaves {
+		if left == 0 && leavesSeen >= cfg.ExpectLeaves {
 			for r := 0; r < world; r++ {
 				et.SendElastic(r, mpi.ElasticFin, nil)
 			}
@@ -739,7 +649,7 @@ func (e *engine) elasticLoop(n *node, lane *obs.Lane) {
 			if n.id != 0 {
 				return true
 			}
-			if !contains(members, m.Src) && !contains(joiners, m.Src) && !contains(nextM, m.Src) {
+			if !slices.Contains(members, m.Src) && !slices.Contains(joiners, m.Src) && !slices.Contains(nextM, m.Src) {
 				joiners = append(joiners, m.Src)
 				sort.Ints(joiners)
 			}
@@ -748,7 +658,7 @@ func (e *engine) elasticLoop(n *node, lane *obs.Lane) {
 				return true
 			}
 			leavesSeen++
-			if m.Src != 0 && !contains(leaveReqs, m.Src) {
+			if m.Src != 0 && !slices.Contains(leaveReqs, m.Src) {
 				leaveReqs = append(leaveReqs, m.Src)
 				sort.Ints(leaveReqs)
 			}
@@ -758,7 +668,7 @@ func (e *engine) elasticLoop(n *node, lane *obs.Lane) {
 			}
 			prepEpoch := binary.LittleEndian.Uint32(m.Payload)
 			n.pauseWorkers()
-			for et.PendingSends() != 0 {
+			for !n.quiescent() {
 				if aborted() {
 					return false
 				}
@@ -776,23 +686,45 @@ func (e *engine) elasticLoop(n *node, lane *obs.Lane) {
 			}
 			acksLeft--
 			if acksLeft == 0 {
+				take := min(admit, len(joiners))
+				if admit > 0 {
+					nextM = append(append([]int(nil), members...), joiners[:take]...)
+					sort.Ints(nextM)
+					joiners = append([]int(nil), joiners[take:]...)
+				}
+				noJoiners = admit > 0 && take == 0
 				pl := encodeEpochPayload(epoch, nextM, census)
 				for r := 0; r < world; r++ {
 					et.SendElastic(r, mpi.ElasticEpoch, pl)
 				}
 				members = nextM
-				nextM = nil
+				nextM, admit = nil, 0
 			}
 		case mpi.ElasticEpoch:
 			ep, mems, cen, err := decodeEpochPayload(m.Payload)
 			if err != nil {
 				panic(fmt.Sprintf("engine: rank %d: %v", n.id, err))
 			}
-			n.applyEpoch(ep, mems, cen, lane)
+			moved, left := n.applyEpoch(ep, mems, cen, lane)
+			// Only rank 0 starts views, so scaling is set only there, and
+			// it still describes this epoch: the next view starts only
+			// after rank 0 has applied this one.
+			if scaling && moved == 0 {
+				why := "rebalance moved no tiles"
+				if left == 0 {
+					why = "no unexecuted tiles at census"
+				} else if noJoiners {
+					why = "no joiners announced"
+				}
+				n.noteScaleNoop(why, ep, lane)
+			}
 		case mpi.ElasticFin:
 			n.mu.Lock()
 			n.elasticFin = true
 			n.mu.Unlock()
+			// No view change follows FIN: a leave still waiting for one
+			// (more leavers than ExpectLeaves) finishes its own tiles.
+			n.releaseHold()
 			n.checkFinished()
 		}
 		return true

@@ -34,9 +34,11 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -70,11 +72,6 @@ type Config struct {
 	// the MPI inbox between tiles and while blocked in sends. The
 	// default (false) uses a dedicated receiver goroutine per node.
 	PollingRecv bool
-	// QueueGroups is accepted for compatibility but inert: the
-	// scheduler now always shards the ready queue per worker with
-	// stealing (see steal.go), which subsumes the Section VII-C
-	// grouped-queue proposal this knob used to select.
-	QueueGroups int
 	Priority    Priority
 	// Sched selects the tile scheduler: SchedHybrid (default) uses the
 	// static wavefront phase for interior all-local tiles, SchedDynamic
@@ -160,12 +157,6 @@ func (c Config) withDefaults() Config {
 	if c.RecvBufs == 0 {
 		c.RecvBufs = 16
 	}
-	if c.QueueGroups < 1 {
-		c.QueueGroups = 1
-	}
-	if c.QueueGroups > c.Threads {
-		c.QueueGroups = c.Threads
-	}
 	if c.Checkpoint.Dir != "" && c.Checkpoint.EveryTiles <= 0 {
 		c.Checkpoint.EveryTiles = 64
 	}
@@ -231,6 +222,11 @@ type NodeStats struct {
 	EdgesMigratedOut int64
 	EdgesMigratedIn  int64
 	EdgesForwarded   int64
+	// ScaleNoops counts rank 0's scale events (ElasticConfig.ScaleAt)
+	// that moved no unexecuted tile, and ScaleNoopReason says why the
+	// last one did not, e.g. "no unexecuted tiles at census".
+	ScaleNoops      int64
+	ScaleNoopReason string
 	// WireBytesSent and WireBytesRecv are the transport's raw
 	// bytes-on-wire counters (tcp.Transport.Bytes), frame headers
 	// included, sampled after the run's result merge. Zero for
@@ -469,40 +465,15 @@ func run(tl *tiling.Tiling, kernel Kernel, params []int64, cfg Config, prep *Pre
 	}
 	if cfg.Checkpoint.Resume {
 		for _, n := range nodes {
-			if err := n.loadResume(); err != nil {
+			if err := n.resume(); err != nil {
 				return nil, err
 			}
 		}
 	}
 	for _, t := range initial {
-		n := nodeByRank[assign.Owner(t)]
-		if n == nil {
-			continue
-		}
-		var ik uint64
-		if n.ft {
-			// A resumed rank's already-executed seed tiles are not re-run.
-			ik = e.intKey(t)
-			if _, done := n.executedSet[ik]; done {
-				continue
-			}
-		}
-		p := &pendTile{
-			tile: append([]int64(nil), t...),
-			key:  make([]int64, len(e.keyDims)),
-			seq:  n.seqA.Add(1),
-		}
-		e.makeKey(p.tile, p.key)
-		p.level = -sum64(p.key)
-		p.group = n.shardOf(p.tile)
-		if n.ft {
-			n.started[ik] = p
-		}
-		n.enqueue(p, n.initLane())
-	}
-	for _, n := range nodes {
-		if n.resumeCk != nil {
-			n.replayCheckpoint(n.initLane())
+		// seed skips a resumed rank's already-executed tiles.
+		if n := nodeByRank[assign.Owner(t)]; n != nil {
+			n.seed(t, n.initLane())
 		}
 	}
 	// Static phase (sched.go): classify and order interior all-local
@@ -783,20 +754,22 @@ type node struct {
 	ckptBusy    bool
 	crashAt     int64
 	crashed     bool
-	resumeCk    *checkpoint
 
 	// Elastic membership state (Config.Elastic; see elastic.go).
-	// paused/executingN/elasticFin/leaveSent are under mu: pauseCond
-	// parks workers during a view change, quietCond wakes the pauser
-	// when the last in-flight tile retires. executedPerSlab — this
-	// rank's contribution to the global executed census, indexed like
-	// assign.Slabs() — is under stripes[0].mu next to executedSet.
+	// paused/executingN/elasticFin/leaveSent/held/schedule are under
+	// mu: pauseCond parks workers during a view change or a threshold
+	// hold, quietCond wakes the pauser when the last in-flight tile
+	// retires. executedPerSlab — this rank's contribution to the global
+	// executed census, indexed like assign.Slabs() — is under
+	// stripes[0].mu next to executedSet.
 	elastic         bool
 	et              elasticTransport
 	paused          bool
 	executingN      int
 	elasticFin      bool
 	leaveSent       bool
+	held            bool         // parked at a scale or leave threshold until the view change applies it
+	schedule        []ScaleEvent // rank 0: scale events not yet fired, in AfterTiles order
 	pauseCond       *sync.Cond
 	quietCond       *sync.Cond
 	curEpoch        atomic.Uint32
@@ -869,6 +842,12 @@ func newNode(e *engine, id int, rank mpi.Transport) *node {
 		n.quietCond = sync.NewCond(&n.mu)
 		n.executedPerSlab = make([]int64, len(e.assign.Slabs()))
 		n.stopElastic = make(chan struct{})
+		if id == 0 {
+			n.schedule = slices.Clone(e.cfg.Elastic.ScaleAt)
+			slices.SortStableFunc(n.schedule, func(a, b ScaleEvent) int {
+				return cmp.Compare(a.AfterTiles, b.AfterTiles)
+			})
+		}
 	}
 	n.crashAt = e.cfg.CrashAfterTiles
 	return n
@@ -987,10 +966,8 @@ func (n *node) receiver(lane *obs.Lane) {
 		}
 		if n.elastic {
 			if m.Tag < 0 {
-				// A migration blob (see elastic.go). The slot — and with
-				// it the acknowledgement — is released only after the
-				// blob is fully applied, so the sender's next quiescence
-				// point proves these tiles live here now.
+				// A migration blob, acknowledged only once applied (see
+				// applyMigration).
 				n.applyMigration(m.Data, m.Meta, lane, ds)
 				mpi.PutData(m.Data)
 				m.ReleaseSlot()
@@ -1400,7 +1377,7 @@ func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 		lane.Span(obs.KKernel, tid, -1, cells, t0)
 	}
 
-	if sameTile(p.tile, e.goalTile) {
+	if slices.Equal(p.tile, e.goalTile) {
 		v := w.buf[tl.Loc(e.goalLocal)]
 		e.goalMu.Lock()
 		e.goalVal = v
@@ -1521,14 +1498,23 @@ func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 		crash = true
 	}
 	finished := n.executed == n.ownedTotal
+	if s := n.schedule; len(s) > 0 && n.executed >= s[0].AfterTiles {
+		// Rank 0 reached its next scale threshold: hold the workers at
+		// this tile boundary until the coordinator has applied the event.
+		n.held = true
+	}
 	if n.elastic && !n.leaveSent {
 		// Voluntary departure: ask the coordinator out once the
 		// threshold is reached — or on local completion, so a rank
 		// whose tiles ran out early still honours its leave (and the
-		// coordinator's ExpectLeaves accounting).
+		// coordinator's ExpectLeaves accounting). The leaver holds here
+		// until the view change that removes it (rank 0 cannot leave),
+		// unless FIN already came: no view change follows FIN, so the
+		// leaver finishes its own tiles.
 		if la := e.cfg.Elastic.LeaveAfterTiles; la > 0 && (n.executed >= la || finished) {
 			n.leaveSent = true
 			wantLeave = true
+			n.held = n.held || (n.id != 0 && !n.elasticFin)
 		}
 	}
 	n.mu.Unlock()
@@ -1697,15 +1683,6 @@ func (n *node) checkFinished() {
 	if done {
 		n.finishOnce.Do(n.eng.finished.Done)
 	}
-}
-
-func sameTile(a, b []int64) bool {
-	for k := range a {
-		if a[k] != b[k] {
-			return false
-		}
-	}
-	return true
 }
 
 func sum64(v []int64) int64 {

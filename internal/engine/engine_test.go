@@ -155,6 +155,9 @@ func TestBandit2HybridConfigsAgree(t *testing.T) {
 		var cells int64
 		for _, st := range res.Stats {
 			cells += st.CellsComputed
+			if cfg.Threads == 1 && st.Steals != 0 {
+				t.Errorf("cfg %d: a single worker recorded %d steals", i, st.Steals)
+			}
 		}
 		want := (N + 1) * (N + 2) * (N + 3) * (N + 4) / 24
 		if cells != want {
@@ -553,24 +556,25 @@ func TestEmptyParamSpace(t *testing.T) {
 	}
 }
 
-// TestQueueGroups: the Section VII-C per-group ready queues must not
-// change any value, and stealing keeps all workers fed.
+// TestQueueGroups: the Section VII-C ready queues are one shard per
+// worker, with stealing between them. Under either scheduler a hybrid
+// run must keep the serial value and compute every cell exactly once.
 func TestQueueGroups(t *testing.T) {
 	tl := bandit2Tiling(t, 4, []string{"s1", "f1"})
 	N := int64(15)
-	base, err := Run(tl, bandit2Kernel, []int64{N}, Config{Nodes: 2, Threads: 4})
+	base, err := Run(tl, bandit2Kernel, []int64{N}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, groups := range []int{2, 4, 9 /* clamped to Threads */} {
+	for _, sched := range []Sched{SchedHybrid, SchedDynamic} {
 		res, err := Run(tl, bandit2Kernel, []int64{N}, Config{
-			Nodes: 2, Threads: 4, QueueGroups: groups,
+			Nodes: 2, Threads: 4, Sched: sched,
 		})
 		if err != nil {
-			t.Fatalf("groups=%d: %v", groups, err)
+			t.Fatalf("sched=%v: %v", sched, err)
 		}
 		if res.Value != base.Value {
-			t.Errorf("groups=%d: Value %v != %v", groups, res.Value, base.Value)
+			t.Errorf("sched=%v: Value %v != %v", sched, res.Value, base.Value)
 		}
 		var cells int64
 		for _, st := range res.Stats {
@@ -578,31 +582,29 @@ func TestQueueGroups(t *testing.T) {
 		}
 		want := (N + 1) * (N + 2) * (N + 3) * (N + 4) / 24
 		if cells != want {
-			t.Errorf("groups=%d: %d cells, want %d", groups, cells, want)
+			t.Errorf("sched=%v: %d cells, want %d", sched, cells, want)
 		}
 	}
 }
 
-// TestQueueGroupsSingleThreadSteals: one worker with several groups must
-// drain them all via stealing.
+// TestQueueGroupsSingleThreadSteals: with every tile going through the
+// ready-queue shards (SchedDynamic), one worker has no shard to steal
+// from, and several workers stealing from each other keep the value.
 func TestQueueGroupsSingleThreadSteals(t *testing.T) {
 	tl := bandit2Tiling(t, 4, nil)
-	res, err := Run(tl, bandit2Kernel, []int64{12}, Config{Threads: 1, QueueGroups: 3})
+	res, err := Run(tl, bandit2Kernel, []int64{12}, Config{Threads: 1, Sched: SchedDynamic})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// QueueGroups is clamped to Threads=1, so no steals are possible.
 	if res.Stats[0].Steals != 0 {
-		t.Errorf("clamped run recorded %d steals", res.Stats[0].Steals)
+		t.Errorf("single-worker run recorded %d steals", res.Stats[0].Steals)
 	}
-	// Explicitly multi-group, multi-thread: steals are allowed but the
-	// result is unchanged (checked above); here just exercise the field.
-	res2, err := Run(tl, bandit2Kernel, []int64{12}, Config{Threads: 3, QueueGroups: 3})
+	res2, err := Run(tl, bandit2Kernel, []int64{12}, Config{Threads: 3, Sched: SchedDynamic})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res2.Value != res.Value {
-		t.Errorf("multi-group value differs")
+		t.Errorf("multi-worker value %v differs from %v", res2.Value, res.Value)
 	}
 }
 
@@ -619,7 +621,7 @@ func TestPollingRecvMode(t *testing.T) {
 	for _, cfg := range []Config{
 		{Nodes: 2, Threads: 2, PollingRecv: true},
 		{Nodes: 4, Threads: 1, PollingRecv: true, SendBufs: 1, RecvBufs: 1},
-		{Nodes: 3, Threads: 2, PollingRecv: true, QueueGroups: 2},
+		{Nodes: 3, Threads: 2, PollingRecv: true},
 	} {
 		res, err := Run(tl, bandit2Kernel, []int64{N}, cfg)
 		if err != nil {

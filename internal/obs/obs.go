@@ -106,6 +106,10 @@ const (
 	// KMigrateIn marks the application of one incoming migration blob;
 	// Val is the number of tiles absorbed.
 	KMigrateIn
+	// KScaleNoop marks a scale event that moved no unexecuted tile;
+	// Tile carries the reason and Val the epoch of its view change (the
+	// current epoch if it needed none).
+	KScaleNoop
 	kindCount
 )
 
@@ -114,7 +118,7 @@ var kindNames = [kindCount]string{
 	"send", "recv", "stall", "idle", "pending_edges",
 	"checkpoint", "recover", "heartbeat_miss", "peer_restart",
 	"peer_down", "park", "rejoin", "replay", "queue_depth",
-	"epoch", "migrate_out", "migrate_in",
+	"epoch", "migrate_out", "migrate_in", "scale_noop",
 }
 
 // String returns the kind's wire name (the "k" field of the JSONL
